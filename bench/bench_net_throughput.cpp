@@ -12,9 +12,29 @@
 // The second half benches the sharded ingest plane (DESIGN.md §14): the
 // same loopback peers spread across a 1-, 2- and 4-shard
 // collect::ShardedPlatform fleet, reporting per-shard and aggregate
-// msgs/sec. --strict enforces the 1.5x aggregate scaling floor at 4
-// shards, but only on machines with >= 4 hardware threads (below that
-// the fleet runs are informational — the shards time-slice one core).
+// msgs/sec plus each shard's session count. --strict enforces the 1.5x
+// aggregate scaling floor at 4 shards, but only on machines with >= 4
+// hardware threads (below that the fleet runs are informational — the
+// shards time-slice one core).
+//
+// The fleet's load generator is built to measure the shards, not itself:
+//   * every peer's UPDATE bytes are encoded by FakePeer into an in-memory
+//     transport before the stopwatch starts (the same prefixes and paths
+//     a live burst would carry);
+//   * after the handshakes, ONE generator thread writes those bytes
+//     straight to the session sockets with non-blocking write() and
+//     poll(), in round-robin chunks, with no per-batch barrier;
+//   * completion is checked only after the writes, by sleeping in coarse
+//     steps and reading the daemons' stored-updates counters from the
+//     shared metrics registry, which costs the shards no cross-thread call.
+// One generator thread is enough to outrun four shards; more generator
+// threads would compete with the shards for the same cores.
+#include <poll.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -40,6 +60,9 @@ constexpr double kStrictMsgsPerSecFloor = 2000.0;
 constexpr std::size_t kFleetPeers = 8;
 constexpr std::uint64_t kFleetUpdatesPerPeer = 3000;
 constexpr double kStrictFleetScalingFloor = 1.5;  // 4 shards vs 1 shard
+constexpr std::size_t kWriteChunk = 16 * 1024;  // per socket per pass
+constexpr auto kCompletionPoll = std::chrono::microseconds(500);
+constexpr double kFleetTimeoutS = 30.0;
 
 std::string json_number(double value) {
   char buffer[32];
@@ -55,8 +78,56 @@ struct FleetResult {
   double elapsed_s = 0;
   double msgs_per_sec = 0;
   std::vector<double> per_shard_msgs_per_sec;
+  std::vector<std::size_t> per_shard_sessions;
   bool ok = false;
 };
+
+/// Peer `index`'s whole fleet workload as wire bytes: FakePeer encodes its
+/// bursts into an in-memory transport, so the bytes match a live burst.
+std::vector<std::uint8_t> encode_fleet_payload(std::size_t index) {
+  daemon::Transport capture;
+  daemon::FakePeer encoder(static_cast<bgp::AsNumber>(65010 + index),
+                           capture);
+  for (std::uint64_t sent = 0; sent < kFleetUpdatesPerPeer; sent += kBatch) {
+    encoder.send_synthetic_burst(
+        kBatch, (10u << 24) | (static_cast<std::uint32_t>(index) << 16) |
+                    (static_cast<std::uint32_t>(sent / kBatch) << 8));
+  }
+  return capture.to_daemon.read();
+}
+
+/// Writes each payload to its non-blocking socket from the calling thread:
+/// round-robin chunks, poll() only while every unfinished socket is full.
+/// Returns false on a socket error.
+bool write_payloads(const std::vector<int>& fds,
+                    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  std::vector<std::size_t> offsets(fds.size(), 0);
+  for (;;) {
+    bool pending = false;
+    bool progressed = false;
+    std::vector<pollfd> full;
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      const std::size_t left = payloads[i].size() - offsets[i];
+      if (left == 0) continue;
+      pending = true;
+      const ssize_t n = ::write(fds[i], payloads[i].data() + offsets[i],
+                                std::min(left, kWriteChunk));
+      if (n > 0) {
+        offsets[i] += static_cast<std::size_t>(n);
+        progressed = true;
+      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        full.push_back({fds[i], POLLOUT, 0});
+      } else if (!(n < 0 && errno == EINTR)) {
+        return false;
+      }
+    }
+    if (!pending) return true;
+    if (!progressed && !full.empty() &&
+        ::poll(full.data(), full.size(), 1000) < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+}
 
 FleetResult run_fleet(std::size_t shard_count) {
   FleetResult result;
@@ -92,15 +163,24 @@ FleetResult run_fleet(std::size_t shard_count) {
     clients.push_back(std::move(client));
   }
 
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::size_t i = 0; i < kFleetPeers; ++i) {
+    payloads.push_back(encode_fleet_payload(i));
+  }
+
   const auto pump = [&] {
     client_loop.run_once(1);
     for (auto& peer : peers) peer->poll();
     for (auto& client : clients) client->sync();
   };
 
+  // Established on both ends, and nothing of the handshake left queued in
+  // a client's backlog (the generator below bypasses the transports).
   const auto all_established = [&] {
-    for (const auto& peer : peers) {
-      if (!peer->established()) return false;
+    for (std::size_t i = 0; i < kFleetPeers; ++i) {
+      if (!peers[i]->established() || clients[i]->backlog_bytes() != 0) {
+        return false;
+      }
     }
     return platform.peer_count() == kFleetPeers;
   };
@@ -111,37 +191,32 @@ FleetResult run_fleet(std::size_t shard_count) {
     return result;
   }
 
+  std::vector<int> fds;
+  for (const auto& client : clients) fds.push_back(client->fd());
+  const auto stored = [&registry] {
+    return registry.counter_total("gill_daemon_updates_stored_total");
+  };
   const std::uint64_t total = kFleetPeers * kFleetUpdatesPerPeer;
   const bench::Stopwatch watch;
-  std::uint64_t sent_per_peer = 0;
-  while (sent_per_peer < kFleetUpdatesPerPeer) {
-    for (std::size_t i = 0; i < kFleetPeers; ++i) {
-      peers[i]->send_synthetic_burst(
-          kBatch, (10u << 24) | (static_cast<std::uint32_t>(i) << 16) |
-                      (static_cast<std::uint32_t>(sent_per_peer / kBatch)
-                       << 8));
-    }
-    sent_per_peer += kBatch;
-    // Same backpressure discipline as the single-session run: drain before
-    // the next burst so socket buffers bound memory, not the batch count.
-    int guard = 0;
-    while (platform.stored_updates() < kFleetPeers * sent_per_peer &&
-           ++guard < 200000) {
-      pump();
-    }
+  if (!write_payloads(fds, payloads)) {
+    std::fprintf(stderr, "error: fleet(%zu): socket write failed\n",
+                 shard_count);
+    return result;
   }
-  int guard = 0;
-  while (platform.stored_updates() < total && ++guard < 200000) pump();
+  while (stored() < total && watch.seconds() < kFleetTimeoutS) {
+    std::this_thread::sleep_for(kCompletionPoll);
+  }
   result.elapsed_s = watch.seconds();
 
   result.updates = platform.stored_updates();
   result.msgs_per_sec = static_cast<double>(result.updates) / result.elapsed_s;
   for (std::size_t shard = 0; shard < platform.shard_count(); ++shard) {
-    const std::size_t stored = platform.with_shard(
+    const std::size_t shard_stored = platform.with_shard(
         shard, [](collect::Platform& p) { return p.store().stored(); });
-    result.per_shard_msgs_per_sec.push_back(static_cast<double>(stored) /
-                                            result.elapsed_s);
+    result.per_shard_msgs_per_sec.push_back(
+        static_cast<double>(shard_stored) / result.elapsed_s);
   }
+  result.per_shard_sessions = platform.inbound_sessions();
   platform.stop();
   result.ok = result.updates >= total;
   return result;
@@ -246,8 +321,15 @@ int main(int argc, char** argv) {
                    shards, static_cast<unsigned long long>(run.updates));
       return 1;
     }
+    std::string spread;
+    for (const std::size_t sessions : run.per_shard_sessions) {
+      spread += (spread.empty() ? "" : "/") + std::to_string(sessions);
+    }
     bench::row({"fleet_shards_" + std::to_string(shards) + "_msgs_per_sec",
                 bench::num(run.msgs_per_sec, 0)},
+               32);
+    bench::row({"fleet_shards_" + std::to_string(shards) + "_sessions",
+                spread},
                32);
     fleet.push_back(std::move(run));
   }
@@ -283,6 +365,12 @@ int main(int argc, char** argv) {
          ++shard) {
       if (shard != 0) json += ",";
       json += json_number(run.per_shard_msgs_per_sec[shard]);
+    }
+    json += "],\"per_shard_sessions\":[";
+    for (std::size_t shard = 0; shard < run.per_shard_sessions.size();
+         ++shard) {
+      if (shard != 0) json += ",";
+      json += std::to_string(run.per_shard_sessions[shard]);
     }
     json += "]}";
   }

@@ -17,68 +17,12 @@ EventFeatureExtractor::EventFeatureExtractor(std::vector<VpId> vps)
 
 std::vector<EventFeatureMatrix> EventFeatureExtractor::extract(
     const UpdateStream& rib_dump, const UpdateStream& updates,
-    const std::vector<AnchorEvent>& events) {
+    const std::vector<AnchorEvent>& events, par::ThreadPool* pool) {
   const std::size_t v = vps_.size();
   std::unordered_map<VpId, std::size_t> vp_index;
   for (std::size_t i = 0; i < v; ++i) vp_index[vps_[i]] = i;
 
-  // Current graphs and routes per VP.
-  std::vector<feat::VpGraph> graphs(v);
-  std::vector<bgp::Rib> ribs(v);
-  auto apply = [&](const bgp::Update& update) {
-    const auto it = vp_index.find(update.vp);
-    if (it == vp_index.end()) return;
-    const std::size_t index = it->second;
-    const bgp::Route* old_route = ribs[index].find(update.prefix);
-    const bgp::AsPath old_path = old_route ? old_route->path : bgp::AsPath{};
-    const bgp::AsPath new_path =
-        update.withdrawal ? bgp::AsPath{} : update.path;
-    graphs[index].replace_route(old_path, new_path);
-    ribs[index].apply(update);
-  };
-  for (const auto& update : rib_dump) apply(update);
-
-  // Per-event start snapshots (node features of both ASes + pair features).
-  struct Snapshot {
-    std::vector<feat::NodeFeatures> node1, node2;
-    std::vector<feat::PairFeatures> pair;
-  };
-  std::vector<Snapshot> snapshots(events.size());
-  std::vector<EventFeatureMatrix> matrices(events.size());
-
-  auto snapshot_event = [&](std::size_t event_index, bool at_start) {
-    const AnchorEvent& event = events[event_index];
-    Snapshot& snap = snapshots[event_index];
-    if (at_start) {
-      snap.node1.resize(v);
-      snap.node2.resize(v);
-      snap.pair.resize(v);
-    } else {
-      matrices[event_index].rows.resize(v);
-    }
-    for (std::size_t i = 0; i < v; ++i) {
-      const feat::FeatureComputer computer(graphs[i]);
-      const auto n1 = computer.node_features(event.as1);
-      const auto n2 = computer.node_features(event.as2);
-      const auto p = computer.pair_features(event.as1, event.as2);
-      if (at_start) {
-        snap.node1[i] = n1;
-        snap.node2[i] = n2;
-        snap.pair[i] = p;
-      } else {
-        feat::EventVector& row = matrices[event_index].rows[i];
-        for (std::size_t f = 0; f < feat::kNodeFeatureCount; ++f) {
-          row[2 * f] = snap.node1[i][f] - n1[f];
-          row[2 * f + 1] = snap.node2[i][f] - n2[f];
-        }
-        for (std::size_t f = 0; f < feat::kPairFeatureCount; ++f) {
-          row[2 * feat::kNodeFeatureCount + f] = snap.pair[i][f] - p[f];
-        }
-      }
-    }
-  };
-
-  // Merge-walk: boundaries (event starts/ends) interleaved with updates.
+  // Boundaries (event starts/ends) in replay order.
   struct Boundary {
     bgp::Timestamp time;
     std::size_t event_index;
@@ -96,19 +40,94 @@ std::vector<EventFeatureMatrix> EventFeatureExtractor::extract(
               return a.is_start > b.is_start;  // starts before ends
             });
 
-  std::size_t update_cursor = 0;
+  // The stream prefix applied before each boundary's snapshot: every
+  // update strictly before a start (the pre-event graph), everything up to
+  // and including an end. One cursor over the whole stream, so each VP's
+  // replay below sees exactly the updates a single merged walk would have
+  // applied at that boundary.
   const auto& stream = updates.updates();
-  for (const Boundary& boundary : boundaries) {
-    // Apply every update strictly before the boundary (start snapshots see
-    // the pre-event graph; end snapshots see everything up to the end).
-    const bgp::Timestamp limit =
-        boundary.is_start ? boundary.time : boundary.time + 1;
-    while (update_cursor < stream.size() &&
-           stream[update_cursor].time < limit) {
-      apply(stream[update_cursor]);
-      ++update_cursor;
+  std::vector<std::size_t> applied_before(boundaries.size());
+  std::size_t cursor = 0;
+  for (std::size_t b = 0; b < boundaries.size(); ++b) {
+    const bgp::Timestamp limit = boundaries[b].is_start
+                                     ? boundaries[b].time
+                                     : boundaries[b].time + 1;
+    while (cursor < stream.size() && stream[cursor].time < limit) ++cursor;
+    applied_before[b] = cursor;
+  }
+
+  // Each VP's own updates, in stream order: a VP's graph and RIB depend on
+  // nothing else, so VPs replay independently.
+  std::vector<std::vector<const bgp::Update*>> own_rib(v);
+  for (const auto& entry : rib_dump) {
+    const auto it = vp_index.find(entry.vp);
+    if (it != vp_index.end()) own_rib[it->second].push_back(&entry);
+  }
+  std::vector<std::vector<std::size_t>> own_updates(v);
+  for (std::size_t k = 0; k < cursor; ++k) {
+    const auto it = vp_index.find(stream[k].vp);
+    if (it != vp_index.end()) own_updates[it->second].push_back(k);
+  }
+
+  std::vector<EventFeatureMatrix> matrices(events.size());
+  for (auto& matrix : matrices) matrix.rows.resize(v);
+
+  // Replays VP `i` through every boundary and writes only row i of each
+  // matrix, so workers never share an output cell.
+  const auto replay_vp = [&](std::size_t i) {
+    feat::VpGraph graph;
+    bgp::Rib rib;
+    const auto apply = [&](const bgp::Update& update) {
+      const bgp::Route* old_route = rib.find(update.prefix);
+      const bgp::AsPath old_path =
+          old_route ? old_route->path : bgp::AsPath{};
+      const bgp::AsPath new_path =
+          update.withdrawal ? bgp::AsPath{} : update.path;
+      graph.replace_route(old_path, new_path);
+      rib.apply(update);
+    };
+    for (const bgp::Update* entry : own_rib[i]) apply(*entry);
+
+    // Start snapshots: node features of both ASes plus the pair features.
+    struct Snapshot {
+      feat::NodeFeatures node1{}, node2{};
+      feat::PairFeatures pair{};
+    };
+    std::vector<Snapshot> starts(events.size());
+    const std::vector<std::size_t>& mine = own_updates[i];
+    std::size_t next = 0;
+    for (std::size_t b = 0; b < boundaries.size(); ++b) {
+      while (next < mine.size() && mine[next] < applied_before[b]) {
+        apply(stream[mine[next++]]);
+      }
+      const AnchorEvent& event = events[boundaries[b].event_index];
+      const feat::FeatureComputer computer(graph);
+      const auto n1 = computer.node_features(event.as1);
+      const auto n2 = computer.node_features(event.as2);
+      const auto p = computer.pair_features(event.as1, event.as2);
+      Snapshot& start = starts[boundaries[b].event_index];
+      if (boundaries[b].is_start) {
+        start = {n1, n2, p};
+        continue;
+      }
+      feat::EventVector& row = matrices[boundaries[b].event_index].rows[i];
+      for (std::size_t f = 0; f < feat::kNodeFeatureCount; ++f) {
+        row[2 * f] = start.node1[f] - n1[f];
+        row[2 * f + 1] = start.node2[f] - n2[f];
+      }
+      for (std::size_t f = 0; f < feat::kPairFeatureCount; ++f) {
+        row[2 * feat::kNodeFeatureCount + f] = start.pair[f] - p[f];
+      }
     }
-    snapshot_event(boundary.event_index, boundary.is_start);
+  };
+
+  const auto replay_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) replay_vp(i);
+  };
+  if (pool != nullptr && !par::serial_forced() && v > 1) {
+    pool->parallel_for(v, replay_range);
+  } else {
+    replay_range(0, v);
   }
   return matrices;
 }

@@ -27,6 +27,12 @@ struct EventFeatureMatrix {
 
 /// Replays a stream while maintaining per-VP graphs and snapshots the
 /// Table 6 features of each event's AS pair at the event's start and end.
+///
+/// A VP's graph depends only on its own updates, so the replay is
+/// partitioned by VP: each VP replays its updates through the sorted event
+/// boundaries and writes only its own row of every matrix. With a pool the
+/// VPs fan out across the workers; the result is byte-identical at any
+/// thread count and to the serial path (GILL_ANALYSIS_SERIAL forces it).
 class EventFeatureExtractor {
  public:
   /// `vps` lists the VPs (rows of every matrix, in this order).
@@ -36,7 +42,8 @@ class EventFeatureExtractor {
   /// stream covering every event window; `events` must be start-sorted.
   std::vector<EventFeatureMatrix> extract(
       const UpdateStream& rib_dump, const UpdateStream& updates,
-      const std::vector<AnchorEvent>& events);
+      const std::vector<AnchorEvent>& events,
+      par::ThreadPool* pool = nullptr);
 
   const std::vector<VpId>& vps() const noexcept { return vps_; }
 

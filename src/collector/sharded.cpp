@@ -91,13 +91,11 @@ void ShardedPlatform::accept_session(std::size_t shard, int fd,
                                      const std::string& peer_ip) {
   // Runs on the owning shard's thread. Admission is the only global part:
   // the peer cap and the accept governor must see the whole fleet.
-  if (total_peers_.load(std::memory_order_relaxed) >= config_.max_peers) {
+  if (total_peers_.load(std::memory_order_relaxed) >= config_.max_peers ||
+      (governor_ != nullptr &&
+       !governor_->admit(peer_ip, shards_.loop(shard).now_ms()))) {
     ::close(fd);
-    return;
-  }
-  if (governor_ != nullptr &&
-      !governor_->admit(peer_ip, shards_.loop(shard).now_ms())) {
-    ::close(fd);
+    listener_.release(shard);
     return;
   }
   auto transport = std::make_unique<net::TcpTransport>(
@@ -113,6 +111,7 @@ void ShardedPlatform::accept_session(std::size_t shard, int fd,
     state.platform->daemon_mut(vp).enable_rib_dumps(config_.rib_dump_interval);
   }
   state.transports[vp] = raw;
+  state.live_inbound.push_back(raw);
   total_peers_.fetch_add(1, std::memory_order_relaxed);
   if (config_.on_session) config_.on_session(shard, vp, peer_ip);
 }
@@ -182,6 +181,11 @@ void ShardedPlatform::step_shard(std::size_t shard) {
   ShardState& state = *states_[shard];
   state.platform->step(now());
   for (auto& [vp, transport] : state.transports) transport->sync();
+  std::erase_if(state.live_inbound, [&](const net::TcpTransport* transport) {
+    if (transport->socket_open()) return false;
+    listener_.release(shard);
+    return true;
+  });
 }
 
 void ShardedPlatform::control_tick(Timestamp now) {

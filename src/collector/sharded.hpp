@@ -112,7 +112,9 @@ class ShardedPlatform {
 
   // --- setup (call BEFORE start()) -----------------------------------------
   /// Binds the BGP listen port across the fleet (SO_REUSEPORT, or the
-  /// round-robin dispatcher in kDispatcher mode / as fallback).
+  /// single-acceptor dispatcher in kDispatcher mode / as fallback). Either
+  /// way each inbound session lands on the shard with the fewest live
+  /// inbound sessions.
   bool listen(const std::string& host, std::uint16_t port,
               net::ShardedListener::Mode mode =
                   net::ShardedListener::Mode::kAuto);
@@ -141,8 +143,12 @@ class ShardedPlatform {
   bool reuse_port_active() const noexcept {
     return listener_.reuse_port_active();
   }
-  /// Dispatcher-mode fd hand-offs (0 while SO_REUSEPORT is active).
+  /// Accepted fds the placement moved to another shard's loop.
   std::size_t handoffs() const noexcept { return listener_.handoffs(); }
+  /// Live inbound sessions per shard, as the placement counts them.
+  std::vector<std::size_t> inbound_sessions() const {
+    return listener_.sessions();
+  }
 
   // --- control plane (call from ONE control thread only) -------------------
   /// The per-tick control work: samples the memory probe into the shared
@@ -208,6 +214,9 @@ class ShardedPlatform {
     std::unique_ptr<Platform> platform;
     /// TcpTransport view of the platform-owned transports (per-tick sync).
     std::map<VpId, net::TcpTransport*> transports;
+    /// Accepted sessions whose socket is still open. An accepted session
+    /// never redials, so a closed one is released from the placement.
+    std::vector<net::TcpTransport*> live_inbound;
     /// Stream outbox: filled on the shard thread, drained by the control
     /// thread (the one lock on the mirror path; uncontended between ticks).
     std::mutex outbox_mutex;

@@ -1,5 +1,6 @@
 #include "net/shard.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace gill::net {
@@ -49,10 +50,11 @@ ShardedListener::ShardedListener(ShardSet& shards,
                                  metrics::Registry* registry)
     : shards_(&shards),
       registry_(registry),
+      sessions_(shards.size(), 0),
       handoffs_(resolve(registry).counter(
           "gill_net_shard_handoffs_total",
-          "Accepted fds round-robined to another shard's loop (dispatcher "
-          "fallback; 0 while SO_REUSEPORT sharding is active)")) {}
+          "Accepted fds handed to another shard's loop by least-loaded "
+          "placement")) {}
 
 ShardedListener::~ShardedListener() { close(); }
 
@@ -73,7 +75,7 @@ bool ShardedListener::listen(const std::string& host, std::uint16_t port,
       if (!listener->listen(
               host, bind_port,
               [this, shard](int fd, std::string ip, std::uint16_t p) {
-                on_accept_(shard, fd, std::move(ip), p);
+                dispatch(shard, fd, std::move(ip), p);
               },
               /*backlog=*/128, /*reuse_port=*/true)) {
         ok = false;
@@ -90,18 +92,11 @@ bool ShardedListener::listen(const std::string& host, std::uint16_t port,
     port_ = 0;
   }
 
-  // Dispatcher fallback: shard 0 accepts everything and hands each fd to
-  // its round-robin owner BEFORE any epoll registration — the post() is
-  // the ownership transfer.
+  // Dispatcher fallback: shard 0 accepts everything and places each fd.
   auto listener = std::make_unique<TcpListener>(shards_->loop(0), registry_);
   const bool ok = listener->listen(
       host, port, [this](int fd, std::string ip, std::uint16_t p) {
-        const std::size_t shard = next_shard_;
-        next_shard_ = (next_shard_ + 1) % shards_->size();
-        if (shard != 0) handoffs_.inc();
-        shards_->post(shard, [this, shard, fd, ip = std::move(ip), p] {
-          on_accept_(shard, fd, ip, p);
-        });
+        dispatch(0, fd, std::move(ip), p);
       });
   if (!ok) return false;
   port_ = listener->port();
@@ -122,7 +117,44 @@ void ShardedListener::close() {
   listeners_.clear();
   port_ = 0;
   reuse_port_ = false;
-  next_shard_ = 0;
+}
+
+std::vector<std::size_t> ShardedListener::sessions() const {
+  const std::lock_guard<std::mutex> lock(placement_mutex_);
+  return sessions_;
+}
+
+void ShardedListener::release(std::size_t shard) {
+  const std::lock_guard<std::mutex> lock(placement_mutex_);
+  if (sessions_[shard] > 0) --sessions_[shard];
+}
+
+std::size_t ShardedListener::place(std::size_t accepting) {
+  // Choice and count happen under one lock: SO_REUSEPORT listeners accept
+  // concurrently, and two of them must not both fill the same gap.
+  const std::lock_guard<std::mutex> lock(placement_mutex_);
+  const auto least = std::min_element(sessions_.begin(), sessions_.end());
+  const std::size_t shard =
+      sessions_[accepting] == *least
+          ? accepting  // a tie never costs a hand-off
+          : static_cast<std::size_t>(least - sessions_.begin());
+  ++sessions_[shard];
+  return shard;
+}
+
+void ShardedListener::dispatch(std::size_t accepting, int fd,
+                               std::string peer_ip, std::uint16_t port) {
+  const std::size_t shard = place(accepting);
+  if (shard == accepting) {
+    on_accept_(shard, fd, std::move(peer_ip), port);
+    return;
+  }
+  // The post() is the ownership transfer: the fd reaches its shard before
+  // any epoll registration.
+  handoffs_.inc();
+  shards_->post(shard, [this, shard, fd, ip = std::move(peer_ip), port] {
+    on_accept_(shard, fd, ip, port);
+  });
 }
 
 }  // namespace gill::net

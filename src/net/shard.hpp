@@ -7,12 +7,18 @@
 //     thread, so shard state needs no locks. call() is the synchronous
 //     spelling (post + wait) the control plane uses for harvests.
 //   * ShardedListener puts one SO_REUSEPORT listener on every shard, so
-//     the kernel spreads inbound connections across the loops with zero
-//     hand-off cost. When the port cannot be shared (no SO_REUSEPORT, or a
-//     deterministic spread is wanted: dispatcher mode), a single acceptor
-//     on shard 0 adopts the fd and round-robins it to the owning shard via
-//     post() — the fd crosses threads BEFORE it is registered with any
-//     epoll, so ownership is unambiguous either way.
+//     the kernel accepts inbound connections on all loops. When the port
+//     cannot be shared (no SO_REUSEPORT, or dispatcher mode is asked for),
+//     a single acceptor on shard 0 takes every connection instead.
+//   * Placement is least-loaded in both modes: each accepted connection
+//     goes to the shard with the fewest live sessions (ties stay on the
+//     accepting shard). The kernel's SO_REUSEPORT hash alone spreads a
+//     handful of peers badly (7/1/0/0 for 8 peers on 4 shards has been
+//     seen), leaving shards idle. When the accepting shard is not among
+//     the least loaded, the fd is handed off to the chosen shard via
+//     post() — one cross-thread hop per such connection, counted in
+//     gill_net_shard_handoffs_total. The fd crosses threads BEFORE it is
+//     registered with any epoll, so ownership is unambiguous either way.
 //
 // The accept callback always runs on the owning shard's loop thread; the
 // session it builds (transport, daemon FSM, token buckets) lives and dies
@@ -23,6 +29,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,7 +88,7 @@ class ShardedListener {
   /// How connections are spread across shards.
   enum class Mode : std::uint8_t {
     kAuto,        // SO_REUSEPORT listeners; dispatcher when that fails
-    kDispatcher,  // single acceptor on shard 0, round-robin hand-off
+    kDispatcher,  // single acceptor on shard 0, hand-off to the placement
   };
 
   /// Runs on the OWNING shard's loop thread; the callback owns the fd.
@@ -108,14 +115,30 @@ class ShardedListener {
     return static_cast<std::size_t>(handoffs_.value());
   }
 
+  /// Live sessions placed on each shard (the placement's load measure).
+  std::vector<std::size_t> sessions() const;
+  /// The owner reports that a session placed on `shard` is gone (refused
+  /// at admission or closed), so placement counts live sessions only.
+  /// Callable from any thread.
+  void release(std::size_t shard);
+
  private:
+  /// Picks the least-loaded shard for a connection accepted on
+  /// `accepting` and counts the session there.
+  std::size_t place(std::size_t accepting);
+  /// Runs on the accepting shard's thread: places the fd and either keeps
+  /// it or posts it to its owner.
+  void dispatch(std::size_t accepting, int fd, std::string peer_ip,
+                std::uint16_t port);
+
   ShardSet* shards_;
   metrics::Registry* registry_;
   std::vector<std::unique_ptr<TcpListener>> listeners_;
   AcceptCallback on_accept_;
   std::uint16_t port_ = 0;
   bool reuse_port_ = false;
-  std::size_t next_shard_ = 0;  // dispatcher round-robin cursor (shard 0 only)
+  mutable std::mutex placement_mutex_;  // guards sessions_ (any thread)
+  std::vector<std::size_t> sessions_;   // live sessions per shard
   metrics::Counter& handoffs_;
 };
 

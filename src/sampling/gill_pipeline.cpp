@@ -35,7 +35,8 @@ GillPipelineResult run_gill_pipeline(
     if (!events.empty() && vps.size() >= 2) {
       // Components #2 steps 2-4.
       anchor::EventFeatureExtractor extractor(vps);
-      auto matrices = extractor.extract(rib, training, events);
+      auto matrices =
+          extractor.extract(rib, training, events, runtime.pool);
       result.scores = anchor::redundancy_scores(
           std::move(matrices), vps, runtime.pool, runtime.score_cache);
       result.scored_vps = vps;

@@ -1,19 +1,28 @@
 // The parallel analysis engine (DESIGN.md §9): ThreadPool semantics, the
 // byte-determinism guarantee of the parallel pipeline stages at 1/2/8
-// threads, the GILL_ANALYSIS_SERIAL escape hatch, the cross-refresh score
-// cache, and the Platform's asynchronous filter refresh (generation
-// counter, stale-result discard, sessions served while a job is in flight).
+// threads, the VP-partitioned feature extractor against the single-cursor
+// merge-walk it replaced, the GILL_ANALYSIS_SERIAL escape hatch, the
+// cross-refresh score cache, and the Platform's asynchronous filter refresh
+// (generation counter, stale-result discard, sessions served while a job is
+// in flight).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
+#include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "anchor/event_inference.hpp"
+#include "anchor/event_selection.hpp"
 #include "anchor/scoring.hpp"
 #include "collector/platform.hpp"
+#include "features/vp_graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "redundancy/component1.hpp"
 #include "sampling/gill_pipeline.hpp"
@@ -192,6 +201,170 @@ TEST(Determinism, SerialEnvDisablesThePoolPath) {
   EXPECT_EQ(shards_after_forced, 0u) << "the hatch bypasses the pool";
   EXPECT_EQ(forced.redundant, serial.redundant);
   EXPECT_EQ(forced.mean_rp, serial.mean_rp);
+}
+
+// ---------------------------------------------------------------------------
+// Feature extraction: the VP-partitioned extractor against the algorithm it
+// replaced — one cursor over the merged stream, every VP's features
+// recomputed at each event boundary. Kept here as the oracle.
+// ---------------------------------------------------------------------------
+
+std::vector<anchor::EventFeatureMatrix> merge_walk_extract(
+    const std::vector<bgp::VpId>& vps, const bgp::UpdateStream& rib_dump,
+    const bgp::UpdateStream& updates,
+    const std::vector<anchor::AnchorEvent>& events) {
+  const std::size_t v = vps.size();
+  std::unordered_map<bgp::VpId, std::size_t> vp_index;
+  for (std::size_t i = 0; i < v; ++i) vp_index[vps[i]] = i;
+  std::vector<feat::VpGraph> graphs(v);
+  std::vector<bgp::Rib> ribs(v);
+  const auto apply = [&](const bgp::Update& update) {
+    const auto it = vp_index.find(update.vp);
+    if (it == vp_index.end()) return;
+    const bgp::Route* old_route = ribs[it->second].find(update.prefix);
+    graphs[it->second].replace_route(
+        old_route ? old_route->path : bgp::AsPath{},
+        update.withdrawal ? bgp::AsPath{} : update.path);
+    ribs[it->second].apply(update);
+  };
+  for (const auto& update : rib_dump) apply(update);
+
+  struct Boundary {
+    bgp::Timestamp time;
+    std::size_t event_index;
+    bool is_start;
+  };
+  std::vector<Boundary> boundaries;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    boundaries.push_back({events[i].start, i, true});
+    boundaries.push_back({events[i].end, i, false});
+  }
+  std::sort(boundaries.begin(), boundaries.end(),
+            [](const Boundary& a, const Boundary& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.is_start > b.is_start;
+            });
+
+  std::vector<std::vector<feat::EventVector>> starts(
+      events.size(), std::vector<feat::EventVector>(v));
+  std::vector<anchor::EventFeatureMatrix> matrices(events.size());
+  std::size_t cursor = 0;
+  const auto& stream = updates.updates();
+  for (const Boundary& boundary : boundaries) {
+    const bgp::Timestamp limit =
+        boundary.is_start ? boundary.time : boundary.time + 1;
+    while (cursor < stream.size() && stream[cursor].time < limit) {
+      apply(stream[cursor++]);
+    }
+    const anchor::AnchorEvent& event = events[boundary.event_index];
+    auto& matrix = matrices[boundary.event_index];
+    matrix.rows.resize(v);
+    for (std::size_t i = 0; i < v; ++i) {
+      const feat::FeatureComputer computer(graphs[i]);
+      const auto n1 = computer.node_features(event.as1);
+      const auto n2 = computer.node_features(event.as2);
+      const auto p = computer.pair_features(event.as1, event.as2);
+      // Start snapshot packed as (n1, n2, pair); the end writes deltas.
+      feat::EventVector& start = starts[boundary.event_index][i];
+      for (std::size_t f = 0; f < feat::kNodeFeatureCount; ++f) {
+        if (boundary.is_start) {
+          start[f] = n1[f];
+          start[feat::kNodeFeatureCount + f] = n2[f];
+        } else {
+          matrix.rows[i][2 * f] = start[f] - n1[f];
+          matrix.rows[i][2 * f + 1] = start[feat::kNodeFeatureCount + f] -
+                                      n2[f];
+        }
+      }
+      for (std::size_t f = 0; f < feat::kPairFeatureCount; ++f) {
+        const std::size_t slot = 2 * feat::kNodeFeatureCount + f;
+        if (boundary.is_start) {
+          start[slot] = p[f];
+        } else {
+          matrix.rows[i][slot] = start[slot] - p[f];
+        }
+      }
+    }
+  }
+  return matrices;
+}
+
+void expect_matrices_identical(
+    const std::vector<anchor::EventFeatureMatrix>& expected,
+    const std::vector<anchor::EventFeatureMatrix>& actual, const char* what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (std::size_t e = 0; e < expected.size(); ++e) {
+    ASSERT_EQ(expected[e].rows.size(), actual[e].rows.size()) << what;
+    EXPECT_EQ(0, std::memcmp(expected[e].rows.data(), actual[e].rows.data(),
+                             expected[e].rows.size() *
+                                 sizeof(feat::EventVector)))
+        << what << ": event " << e << " differs";
+  }
+}
+
+TEST(Determinism, ExtractorMatchesTheMergeWalkAtEveryThreadCount) {
+  // The pipeline's own VP list and event set over the shared world.
+  const PipelineWorld& world = pipeline_world();
+  const sample::GillConfig config;
+  std::set<bgp::VpId> vp_set;
+  for (const auto& update : world.training) vp_set.insert(update.vp);
+  for (const auto& entry : world.ribs) vp_set.insert(entry.vp);
+  const std::vector<bgp::VpId> vps(vp_set.begin(), vp_set.end());
+  const auto events = anchor::select_events(
+      anchor::filter_non_global(
+          anchor::infer_events(world.ribs, world.training,
+                               config.event_inference),
+          vps.size(), config.event_selection.max_visibility),
+      {}, config.event_selection);
+  ASSERT_GE(vps.size(), 2u);
+  ASSERT_FALSE(events.empty());
+
+  const auto oracle =
+      merge_walk_extract(vps, world.ribs, world.training, events);
+  const bool any_delta = std::any_of(
+      oracle.begin(), oracle.end(), [](const anchor::EventFeatureMatrix& m) {
+        return std::any_of(m.rows.begin(), m.rows.end(),
+                           [](const feat::EventVector& row) {
+                             return std::any_of(row.begin(), row.end(),
+                                                [](double x) { return x != 0; });
+                           });
+      });
+  ASSERT_TRUE(any_delta) << "the events must move some feature";
+
+  anchor::EventFeatureExtractor extractor(vps);
+  expect_matrices_identical(
+      oracle, extractor.extract(world.ribs, world.training, events),
+      "no pool");
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    par::ThreadPool pool(threads);
+    const auto matrices =
+        extractor.extract(world.ribs, world.training, events, &pool);
+    expect_matrices_identical(oracle, matrices,
+                              threads == 1 ? "1 thread"
+                                           : (threads == 2 ? "2 threads"
+                                                           : "8 threads"));
+    EXPECT_GT(pool.shards_executed(), 0u) << "the pool actually ran shards";
+  }
+
+  par::ThreadPool pool(4);
+  ::setenv("GILL_ANALYSIS_SERIAL", "1", 1);
+  const auto forced =
+      extractor.extract(world.ribs, world.training, events, &pool);
+  ::unsetenv("GILL_ANALYSIS_SERIAL");
+  EXPECT_EQ(pool.shards_executed(), 0u) << "the hatch bypasses the pool";
+  expect_matrices_identical(oracle, forced, "GILL_ANALYSIS_SERIAL");
+
+  // The replay is defined by one cursor over the stream as given: an update
+  // out of time order is applied only once the cursor reaches it. Swapping
+  // every adjacent pair makes that contract visible.
+  bgp::UpdateStream swapped = world.training;
+  auto& updates = swapped.updates();
+  for (std::size_t k = 0; k + 1 < updates.size(); k += 2) {
+    std::swap(updates[k], updates[k + 1]);
+  }
+  expect_matrices_identical(
+      merge_walk_extract(vps, world.ribs, swapped, events),
+      extractor.extract(world.ribs, swapped, events, &pool), "unsorted stream");
 }
 
 // ---------------------------------------------------------------------------

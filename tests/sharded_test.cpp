@@ -9,6 +9,11 @@
 // timestamps (a fixed injected clock) — and then compares MRT encodings
 // across 1-, 2- and 4-shard fleets fed the same traffic.
 //
+// Placement: each inbound session goes to the shard with the fewest live
+// sessions, in SO_REUSEPORT and dispatcher mode alike, so 8 peers on 4
+// shards land 2/2/2/2 whatever the kernel's hash would have done, and a
+// closed session frees its slot.
+//
 // The race tests drive abrupt peer disconnects while the control thread
 // harvests mirrors and runs merge refreshes on the analysis pool; under a
 // GILL_SANITIZE=thread build (`ctest -L parallel`) TSan turns them into
@@ -84,6 +89,27 @@ struct ClientFleet {
       pump();
     }
     return false;
+  }
+
+  /// Dials `count` peers at once (no waiting in between, like a fleet
+  /// coming up together) and pumps until every session is up on both ends.
+  bool connect_all(ShardedPlatform& platform, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      auto transport = std::make_unique<net::TcpTransport>(
+          loop, net::Role::kPeerSide, &registry);
+      if (!transport->dial("127.0.0.1", platform.port())) return false;
+      peers.push_back(std::make_unique<daemon::FakePeer>(
+          static_cast<bgp::AsNumber>(65001 + i), *transport));
+      transports.push_back(std::move(transport));
+    }
+    const auto up = [&] {
+      for (const auto& peer : peers) {
+        if (!peer->established()) return false;
+      }
+      return platform.peer_count() == count;
+    };
+    for (int i = 0; i < 50000 && !up(); ++i) pump();
+    return up();
   }
 
   /// FIN from the client side: the far shard sees an abrupt disconnect.
@@ -169,6 +195,76 @@ TEST(Sharded, MergedSnapshotsByteIdenticalAcrossShardCounts) {
       << "merged RIB dump depends on the shard count (1 vs 2)";
   EXPECT_EQ(one.rib, four.rib)
       << "merged RIB dump depends on the shard count (1 vs 4)";
+}
+
+void expect_balanced_placement(net::ShardedListener::Mode mode) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kPeers = 8;
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.shards = kShards;
+  config.platform.local_as = 65000;
+  config.platform.registry = &registry;
+  config.platform.component1_refresh = 0;
+  config.clock = [] { return kNow; };
+  ShardedPlatform platform(config);
+  ASSERT_TRUE(platform.listen("127.0.0.1", 0, mode));
+  if (mode == net::ShardedListener::Mode::kDispatcher) {
+    EXPECT_FALSE(platform.reuse_port_active());
+  }
+  platform.start(/*tick_ms=*/1);
+
+  ClientFleet fleet;
+  ASSERT_TRUE(fleet.connect_all(platform, kPeers));
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    EXPECT_EQ(platform.peer_count(shard), kPeers / kShards)
+        << "shard " << shard;
+  }
+  EXPECT_EQ(platform.inbound_sessions(),
+            std::vector<std::size_t>(kShards, kPeers / kShards));
+  platform.stop();
+}
+
+TEST(Sharded, PlacementIsBalancedWithReusePortListeners) {
+  expect_balanced_placement(net::ShardedListener::Mode::kAuto);
+}
+
+TEST(Sharded, PlacementIsBalancedWithTheDispatcher) {
+  expect_balanced_placement(net::ShardedListener::Mode::kDispatcher);
+}
+
+TEST(Sharded, ClosedSessionsFreeTheirPlacementSlot) {
+  metrics::Registry registry;
+  ShardedPlatformConfig config;
+  config.shards = 4;
+  config.platform.local_as = 65000;
+  config.platform.registry = &registry;
+  config.platform.component1_refresh = 0;
+  config.clock = [] { return kNow; };
+  ShardedPlatform platform(config);
+  ASSERT_TRUE(platform.listen("127.0.0.1", 0));
+  platform.start(/*tick_ms=*/1);
+
+  ClientFleet fleet;
+  ASSERT_TRUE(fleet.connect_all(platform, 4));
+  ASSERT_EQ(platform.inbound_sessions(), std::vector<std::size_t>(4, 1));
+
+  // The FIN reaches its shard, whose next tick releases the slot.
+  fleet.drop(0);
+  const auto live = [&] {
+    std::size_t total = 0;
+    for (const std::size_t n : platform.inbound_sessions()) total += n;
+    return total;
+  };
+  for (int i = 0; i < 50000 && live() != 3; ++i) fleet.pump();
+  ASSERT_EQ(live(), 3u);
+
+  // The replacement fills the freed slot: one live session per shard
+  // again, while the dead session stays registered on its shard.
+  ASSERT_TRUE(fleet.connect(platform, 65100));
+  EXPECT_EQ(platform.inbound_sessions(), std::vector<std::size_t>(4, 1));
+  EXPECT_EQ(platform.peer_count(), 5u);
+  platform.stop();
 }
 
 TEST(Sharded, DisconnectDuringMergeIsSafe) {

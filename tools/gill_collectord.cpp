@@ -290,9 +290,10 @@ int main(int argc, char** argv) {
     return static_cast<bgp::Timestamp>(loop.now_ms() / 1000);
   };
 
-  // One SO_REUSEPORT listener per shard (kernel spreads the sessions); the
-  // round-robin dispatcher takes over automatically where the option is
-  // unavailable. Admission (peer cap, accept governor) is global.
+  // One SO_REUSEPORT listener per shard, each connection placed on the
+  // least-loaded shard; the single-acceptor dispatcher takes over
+  // automatically where the option is unavailable. Admission (peer cap,
+  // accept governor) is global.
   if (!platform.listen(bind_ip, listen_port)) {
     std::fprintf(stderr, "error: cannot listen on %s:%u\n", bind_ip.c_str(),
                  listen_port);

@@ -8,8 +8,8 @@
 # over shaped loopback TCP) and the archive group (tests/archive_test.cpp
 # and tests/query_engine_test.cpp: on-disk footer/torn-tail parsing under
 # ASan, the query-under-churn race — parallel scans vs sealing vs GC —
-# under TSan) under BOTH sanitizer configurations and runs them in one
-# invocation:
+# under TSan; bench_archive carries the same label) under BOTH sanitizer
+# configurations and runs them in one invocation:
 #
 #   1. GILL_SANITIZE=ON      (ASan + UBSan — memory safety under the storm)
 #   2. GILL_SANITIZE=thread  (TSan — races in the session/transport layers)
@@ -36,7 +36,7 @@ run_one() {
     || { cat "$dir.configure.log"; return 1; }
   cmake --build "$dir" -j"$jobs" \
     --target soak_test stream_test sharded_test scenario_test bench_scenario \
-              archive_test query_engine_test \
+              archive_test query_engine_test bench_archive \
               gill-scenariod gill-collectord gill-simulate \
     > "$dir.build.log" 2>&1 \
     || { tail -50 "$dir.build.log"; return 1; }
