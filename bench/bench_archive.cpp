@@ -1,10 +1,12 @@
 // Archive store throughput: rotated MRT segments written through the
-// SegmentWriter's async pool path (the gill-collectord configuration),
-// then the read side at production scale (DESIGN.md §15): a cold
-// index-pruned query through the serial reader, the query engine's
-// cold-vs-hot latency over the segment cache, and N concurrent clients
-// scanning the full store with a 1-thread vs 4-thread scan pool. Reports
-// append records/sec, sealed segment count, query latencies, cache
+// SegmentWriter's async pool path (the gill-collectord configuration), by
+// one thread and by two threads sharing one collect::LockedSink (two
+// ingest shards on one archive tee), then the read side at production
+// scale (DESIGN.md §15): a cold index-pruned query through the serial
+// reader, the query engine's cold-vs-hot latency over the segment cache,
+// and N concurrent clients scanning the full store with a 1-thread vs
+// 4-thread scan pool. Reports append records/sec (one thread, and two
+// through the sink), sealed segment count, query latencies, cache
 // effectiveness and the concurrent scaling factor, and emits
 // BENCH_archive.json.
 //
@@ -29,6 +31,7 @@
 #include "archive/query_engine.hpp"
 #include "archive/segment_cache.hpp"
 #include "bench_util.hpp"
+#include "collector/sharded.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -62,6 +65,42 @@ bgp::Update synth_update(std::uint64_t i) {
                       .value();
   update.path = bgp::AsPath{65010, static_cast<bgp::AsNumber>(64512 + i % 64)};
   return update;
+}
+
+/// Two threads append kTotalRecords between them through one LockedSink
+/// into a writer configured as in main(). Returns records/sec, 0 when the
+/// writer failed.
+double locked_two_thread_rate(const fs::path& dir) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  metrics::Registry registry;
+  par::ThreadPool pool(1, &registry);
+  archive::SegmentWriterConfig config;
+  config.directory = dir.string();
+  config.rotate_secs = kRotateSecs;
+  config.compress = archive::compression_available();
+  config.pool = &pool;
+  config.registry = &registry;
+  archive::SegmentWriter writer(config);
+  if (!writer.open()) return 0.0;
+  collect::LockedSink locked(&writer);
+  const bench::Stopwatch watch;
+  std::vector<std::thread> threads;
+  for (std::uint64_t first = 0; first < 2; ++first) {
+    threads.emplace_back([&locked, first] {
+      for (std::uint64_t i = first; i < kTotalRecords; i += 2) {
+        locked.store(synth_update(i));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  locked.with_lock([&writer] { writer.close(); });
+  const double seconds = watch.seconds();
+  fs::remove_all(dir);
+  if (writer.failed() || writer.records_appended() != kTotalRecords) {
+    return 0.0;
+  }
+  return static_cast<double>(kTotalRecords) / seconds;
 }
 
 /// Full-store scan through the engine; returns matched record count.
@@ -148,6 +187,13 @@ int main(int argc, char** argv) {
       static_cast<double>(kTotalRecords) / write_seconds;
   const std::uint64_t bytes_written =
       registry.counter_total("gill_archive_bytes_written_total");
+  const double locked_2t_records_per_sec =
+      locked_two_thread_rate(fs::temp_directory_path() /
+                             "gill_bench_archive_locked");
+  if (locked_2t_records_per_sec <= 0.0) {
+    std::fprintf(stderr, "error: the two-thread writer failed mid-run\n");
+    return 1;
+  }
 
   // Cold query: a fresh reader loads the manifest, prunes on the index and
   // streams one VP's middle window — the /data request an operator issues.
@@ -237,6 +283,8 @@ int main(int argc, char** argv) {
               bench::num(static_cast<double>(bytes_written), 0)}, 30);
   bench::row({"append_elapsed_s", bench::num(write_seconds, 3)}, 30);
   bench::row({"append_records_per_sec", bench::num(records_per_sec, 0)}, 30);
+  bench::row({"append_locked_2t_rec_per_s",
+              bench::num(locked_2t_records_per_sec, 0)}, 30);
   bench::row({"query_matched_records",
               bench::num(static_cast<double>(matched), 0)}, 30);
   bench::row({"query_latency_ms", bench::num(query_seconds * 1000.0, 2)}, 30);
@@ -266,6 +314,8 @@ int main(int argc, char** argv) {
   json += "\"bytes_written\":" + std::to_string(bytes_written) + ",";
   json += "\"append_elapsed_s\":" + json_number(write_seconds) + ",";
   json += "\"append_records_per_sec\":" + json_number(records_per_sec) + ",";
+  json += "\"append_locked_2t_records_per_sec\":" +
+          json_number(locked_2t_records_per_sec) + ",";
   json += "\"query_matched_records\":" + std::to_string(matched) + ",";
   json += "\"query_latency_ms\":" + json_number(query_seconds * 1000.0) + ",";
   json += "\"query_records_per_sec\":" + json_number(streamed_per_sec) + ",";

@@ -75,9 +75,11 @@ FilterTable generate_filters(const red::Component1Result& component1,
   FilterTable table(granularity);
   for (VpId anchor : anchors) table.add_anchor(anchor);
 
+  // accept() admits anchors before it reads the rules, so a rule naming an
+  // anchor VP would never fire: it would only fill the table.
   if (granularity == Granularity::kVpPrefix) {
     for (const auto& pair : component1.redundant) {
-      table.add_drop(pair.vp, pair.prefix);
+      if (!table.is_anchor(pair.vp)) table.add_drop(pair.vp, pair.prefix);
     }
     return table;
   }
@@ -85,7 +87,8 @@ FilterTable generate_filters(const red::Component1Result& component1,
   // Fine granularities need the concrete redundant updates.
   if (training != nullptr) {
     for (const auto& update : *training) {
-      if (component1.redundant.contains(
+      if (!table.is_anchor(update.vp) &&
+          component1.redundant.contains(
               red::VpPrefix{update.vp, update.prefix})) {
         table.add_drop(update);
       }

@@ -73,8 +73,10 @@ class FilterTable {
 };
 
 /// Builds the table from Component #1's redundant (VP, prefix) pairs and
-/// Component #2's anchors. For fine granularities the training stream must
-/// be supplied so rules capture concrete paths/communities.
+/// Component #2's anchors. Redundant pairs of anchor VPs get no rule (an
+/// anchor is accepted before any rule is read). For fine granularities the
+/// training stream must be supplied so rules capture concrete
+/// paths/communities.
 FilterTable generate_filters(const red::Component1Result& component1,
                              const std::vector<VpId>& anchors,
                              Granularity granularity = Granularity::kVpPrefix,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace gill::mrt {
 
@@ -94,24 +95,29 @@ bool read_prefix(Cursor& cursor, net::Prefix& prefix) {
 
 void Writer::write_record(RecordType type, std::uint16_t subtype,
                           const Update& update) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, update.vp);
-  put_u32(body, update.path.empty() ? 0 : update.path.first());  // peer AS
-  put_u8(body, update.withdrawal ? 1 : 0);
-  put_prefix(body, update.prefix);
-  put_u16(body, static_cast<std::uint16_t>(update.path.size()));
-  for (const bgp::AsNumber hop : update.path.hops()) put_u32(body, hop);
-  put_u16(body, static_cast<std::uint16_t>(update.communities.size()));
-  for (const bgp::Community community : update.communities) {
-    put_u32(body, community.packed());
-  }
-
-  // RFC 6396 common header.
+  // RFC 6396 common header; the body is written in place and its length
+  // patched in afterwards.
   put_u32(buffer_, static_cast<std::uint32_t>(update.time));
   put_u16(buffer_, static_cast<std::uint16_t>(type));
   put_u16(buffer_, subtype);
-  put_u32(buffer_, static_cast<std::uint32_t>(body.size()));
-  buffer_.insert(buffer_.end(), body.begin(), body.end());
+  const std::size_t length_at = buffer_.size();
+  put_u32(buffer_, 0);
+  const std::size_t body_at = buffer_.size();
+  put_u32(buffer_, update.vp);
+  put_u32(buffer_, update.path.empty() ? 0 : update.path.first());  // peer AS
+  put_u8(buffer_, update.withdrawal ? 1 : 0);
+  put_prefix(buffer_, update.prefix);
+  put_u16(buffer_, static_cast<std::uint16_t>(update.path.size()));
+  for (const bgp::AsNumber hop : update.path.hops()) put_u32(buffer_, hop);
+  put_u16(buffer_, static_cast<std::uint16_t>(update.communities.size()));
+  for (const bgp::Community community : update.communities) {
+    put_u32(buffer_, community.packed());
+  }
+  const auto body_size = static_cast<std::uint32_t>(buffer_.size() - body_at);
+  buffer_[length_at] = static_cast<std::uint8_t>(body_size >> 24);
+  buffer_[length_at + 1] = static_cast<std::uint8_t>(body_size >> 16);
+  buffer_[length_at + 2] = static_cast<std::uint8_t>(body_size >> 8);
+  buffer_[length_at + 3] = static_cast<std::uint8_t>(body_size);
   ++records_;
 }
 
@@ -124,6 +130,13 @@ void Writer::write_rib_entry(const Update& entry) {
   write_record(RecordType::kTableDumpV2,
                static_cast<std::uint16_t>(TableDumpSubtype::kRibGeneric),
                entry);
+}
+
+std::vector<std::uint8_t> Writer::release() {
+  std::vector<std::uint8_t> bytes = std::move(buffer_);
+  buffer_.clear();
+  buffer_.reserve(bytes.capacity());
+  return bytes;
 }
 
 bool Writer::save(const std::string& path) const {

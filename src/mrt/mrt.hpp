@@ -62,6 +62,10 @@ class Writer {
   const std::vector<std::uint8_t>& buffer() const noexcept { return buffer_; }
   std::size_t record_count() const noexcept { return records_; }
 
+  /// Moves the bytes written so far out, leaving an empty buffer of the
+  /// same capacity; record_count() keeps counting.
+  std::vector<std::uint8_t> release();
+
   /// Writes the buffer to a file; returns false on I/O failure.
   bool save(const std::string& path) const;
 

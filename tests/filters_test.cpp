@@ -80,6 +80,42 @@ TEST(GenerateFilters, FromComponent1Result) {
   EXPECT_TRUE(table.accept(make(3, "10.0.0.0/24")));
 }
 
+TEST(GenerateFilters, NoRuleNamesAnAnchor) {
+  // Three VPs with redundant pairs; VP 2 is an anchor. Its pairs must get
+  // no rule (accept() admits it first), every other pair keeps its rule.
+  red::Component1Result component1;
+  const char* prefixes[] = {"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24"};
+  for (VpId vp : {1u, 2u, 3u}) {
+    for (const char* prefix : prefixes) {
+      component1.redundant.insert(red::VpPrefix{vp, pfx(prefix)});
+    }
+  }
+  const std::vector<VpId> anchors = {2};
+
+  const auto coarse = generate_filters(component1, anchors);
+  // Two non-anchor VPs x three prefixes: the anchor's three pairs add none.
+  EXPECT_EQ(coarse.drop_rule_count(), 6u);
+  EXPECT_EQ(generate_filters(component1, {}).drop_rule_count(), 9u);
+  for (const auto& pair : component1.redundant) {
+    Update probe;
+    probe.vp = pair.vp;
+    probe.prefix = pair.prefix;
+    EXPECT_EQ(coarse.accept(probe), pair.vp == 2) << pair.prefix.str();
+  }
+
+  bgp::UpdateStream training;
+  for (VpId vp : {1u, 2u, 3u}) {
+    training.push(make(vp, "10.0.0.0/24", {1, 2}));
+    training.push(make(vp, "10.0.0.0/24", {1, 3}));
+  }
+  const auto fine = generate_filters(component1, anchors,
+                                     Granularity::kVpPrefixPath, &training);
+  EXPECT_EQ(fine.drop_rule_count(), 4u);
+  for (const auto& update : training) {
+    EXPECT_EQ(fine.accept(update), update.vp == 2);
+  }
+}
+
 TEST(GenerateFilters, FineGranularityUsesTrainingUpdates) {
   red::Component1Result component1;
   component1.redundant.insert(red::VpPrefix{1, pfx("10.0.0.0/24")});
